@@ -4,9 +4,9 @@
 // SALES is split at transaction boundaries across shard databases).
 //
 // Expected shape: speedup while per-shard counting dominates, flattening as
-// the coordinator's serial merge of partial C_k counts grows — the same
-// Amdahl curve as thread scaling, but with the merge crossing a (here
-// in-process) shard boundary. Every configuration self-checks bit-identity
+// the per-iteration barriers and the sorted C_k broadcast grow relative to
+// per-shard work (the merge of partial counts itself is hash-bucketed
+// across the pool) — the same coordinator loop threaded `setm` runs. Every configuration self-checks bit-identity
 // against single-node SETM, and a deliberately failing shard must turn the
 // whole run into Unavailable — never into wrong output.
 
@@ -100,7 +100,8 @@ int Run(bool smoke) {
   bench::Banner(
       "shard_scaling",
       "ROADMAP: scale-out — two-phase distributed count over shard databases",
-      "speedup with shard count, flattening at the serial C_k merge; "
+      "speedup with shard count, flattening at the per-iteration "
+      "barriers; "
       "bit-identical patterns at every shard count; a failing shard "
       "yields Unavailable, never wrong output");
 

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "core/setm_pipeline.h"
 #include "exec/exec_context.h"
 #include "exec/external_sort.h"
 #include "exec/hash_operators.h"
@@ -77,18 +78,9 @@ Result<ClassedMiningResult> ClassedSetmMiner::Mine(
     result.per_class[cls].num_transactions = n;
   }
 
-  auto make_table = [&](const std::string& name,
-                        Schema schema) -> Result<std::unique_ptr<Table>> {
-    if (setm_options_.storage == TableBacking::kMemory) {
-      return std::unique_ptr<Table>(
-          std::make_unique<MemTable>(name, std::move(schema)));
-    }
-    // Scratch relations of the classed pass are dropped with the run:
-    // unlogged, so they never inflate the write-ahead log.
-    auto t = HeapTable::Create(name, std::move(schema), db_->pool(),
-                               db_->UnloggedPageTagger());
-    if (!t.ok()) return t.status();
-    return std::unique_ptr<Table>(std::move(t).value());
+  auto make_table = [&](const std::string& name, Schema schema) {
+    return NewScratchRelation(db_, setm_options_.storage, name,
+                              std::move(schema));
   };
 
   // --- R_1 := SALES ⋈ CUSTOMERS, sorted on (trans_id, item). -------------

@@ -35,23 +35,23 @@ struct SetmOptions {
   /// kMemory mirrors the paper's Section 6 implementation, which "ran in
   /// main memory" for the timing experiments.
   TableBacking storage = TableBacking::kMemory;
-  /// Physical strategy for the C_k aggregation. Honored by both SETM
-  /// executors: the serial pipeline counts the materialized R'_k through a
-  /// sort+stream or hash aggregation, and the partitioned executor
-  /// (num_threads > 1) applies the same choice to each partition's local
-  /// counts — kSortMerge sorts the partition's R'_k slice before counting,
-  /// reproducing the sort-based I/O profile per partition. The
-  /// cross-partition merge of partial counts is always hash-based (shards
-  /// must combine before the global minsupport filter), so only the
-  /// partition-local aggregation differs between the methods; results are
-  /// identical either way.
+  /// Physical strategy for the C_k aggregation. The serial loop counts the
+  /// materialized R'_k through a sort+stream or hash aggregation; with
+  /// num_threads > 1 every trans_id slice applies the same choice to its
+  /// local counts (kSortMerge sorts the slice's R'_k before counting,
+  /// reproducing the sort-based I/O profile per slice). The cross-slice
+  /// merge is always hash-bucketed (partial counts must combine before the
+  /// global minsupport filter), so only the slice-local aggregation differs
+  /// between the methods; results are identical either way.
   CountMethod count_method = CountMethod::kSortMerge;
-  /// Degree of partition parallelism. 1 runs the classic single-threaded
-  /// pipeline; > 1 routes to the partitioned executor (parallel_setm.h):
-  /// SALES is range-partitioned on trans_id, candidate generation and
-  /// counting run per partition on a worker pool, and partial C_k counts
-  /// are merged before the global minsupport filter. Itemsets and rules
-  /// are identical to the serial pipeline for any thread count.
+  /// Degree of partition parallelism. 1 runs the serial loop; > 1 cuts
+  /// SALES at transaction boundaries into that many trans_id slices (fewer
+  /// when there are fewer transactions) and runs them as in-process shards
+  /// under the shard coordinator (shard/coordinator.h) on a worker pool:
+  /// local candidate counts per slice, a hash-bucketed parallel merge, then
+  /// the global minsupport filter. Itemsets and rules are identical to the
+  /// serial loop for any thread count; errors follow the coordinator's
+  /// contract (naming the slice, IOError read as Unavailable).
   size_t num_threads = 1;
 };
 

@@ -8,10 +8,8 @@
 #include "baselines/brute_force.h"
 #include "baselines/parallel_apriori.h"
 #include "core/nested_loop_miner.h"
-#include "core/parallel_setm.h"
 #include "core/setm.h"
 #include "core/setm_sql.h"
-#include "shard/sharded_setm.h"
 
 namespace setm {
 
@@ -81,36 +79,6 @@ class SetmAdapter : public MinerAdapter {
   Result<MiningResult> MineWith(const MiningRequest& request,
                                 const SetmOptions& knobs) override {
     SetmMiner miner(db(), knobs);
-    if (request.table != nullptr) {
-      return miner.MineTable(*request.table, request.options);
-    }
-    return miner.Mine(*request.transactions, request.options);
-  }
-};
-
-class ParallelSetmAdapter : public MinerAdapter {
- public:
-  using MinerAdapter::MinerAdapter;
-
- protected:
-  Result<MiningResult> MineWith(const MiningRequest& request,
-                                const SetmOptions& knobs) override {
-    ParallelSetmMiner miner(db(), knobs);
-    if (request.table != nullptr) {
-      return miner.MineTable(*request.table, request.options);
-    }
-    return miner.Mine(*request.transactions, request.options);
-  }
-};
-
-class ShardedSetmAdapter : public MinerAdapter {
- public:
-  using MinerAdapter::MinerAdapter;
-
- protected:
-  Result<MiningResult> MineWith(const MiningRequest& request,
-                                const SetmOptions& knobs) override {
-    shard::ShardedSetmMiner miner(db(), knobs);
     if (request.table != nullptr) {
       return miner.MineTable(*request.table, request.options);
     }
@@ -235,23 +203,28 @@ class RegistryState {
   }
 
   RegistryState() {
+    // setm, setm-parallel and setm-sharded are one executor under three
+    // names (kept so scripts, goldens and sweeps that name them still run):
+    // the serial loop at num_threads == 1, the shard coordinator over
+    // in-process trans_id slices at num_threads > 1.
     AddBuiltin<SetmAdapter>(MinerInfo{
         "setm",
         "Algorithm SETM (Figure 4): external sort + merge-scan join "
-        "pipeline; routes to the partitioned executor when num_threads > 1",
+        "pipeline; num_threads > 1 mines trans_id slices through the shard "
+        "coordinator",
         /*honors_storage=*/true, /*honors_count_method=*/true,
         /*honors_threads=*/true});
-    AddBuiltin<ParallelSetmAdapter>(MinerInfo{
+    AddBuiltin<SetmAdapter>(MinerInfo{
         "setm-parallel",
-        "partition-parallel SETM: trans_id ranges mined on a worker pool, "
-        "partial counts shard-merged before the global support filter",
+        "alias of setm (same executor): num_threads > 1 mines trans_id "
+        "slices on a worker pool, counts hash-merged before the global "
+        "support filter",
         /*honors_storage=*/true, /*honors_count_method=*/true,
         /*honors_threads=*/true});
-    AddBuiltin<ShardedSetmAdapter>(MinerInfo{
+    AddBuiltin<SetmAdapter>(MinerInfo{
         "setm-sharded",
-        "SETM through the distributed two-phase count coordinator: trans_id "
-        "shard slices behind the ShardBackend seam, local counts merged "
-        "before the global support filter",
+        "alias of setm (same executor): num_threads > 1 runs the two-phase "
+        "distributed count over in-process ShardBackend slices",
         /*honors_storage=*/true, /*honors_count_method=*/true,
         /*honors_threads=*/true});
     AddBuiltin<SetmSqlAdapter>(MinerInfo{

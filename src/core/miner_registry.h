@@ -27,11 +27,13 @@ struct MinerInfo {
   bool honors_threads = false;
 };
 
-/// Process-wide name -> Miner factory map. The seven built-in algorithms
+/// Process-wide name -> Miner factory map. The nine built-in algorithms
 ///
-///   setm setm-parallel setm-sql nested-loop apriori ais brute-force
+///   setm setm-parallel setm-sharded setm-sql nested-loop apriori
+///   apriori-parallel ais brute-force
 ///
-/// are registered on first use, in that (stable) enumeration order;
+/// are registered on first use, in that (stable) enumeration order (the
+/// first three are one SETM executor under three names);
 /// libraries and tests may Register additional algorithms, which then
 /// automatically appear in `setm_mine --algo list`, the cross-algorithm
 /// equivalence suite and the registry-driven benches. Thread-safe.

@@ -1,14 +1,17 @@
 #include "core/setm.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "core/parallel_setm.h"
 #include "core/setm_pipeline.h"
 #include "exec/exec_context.h"
 #include "exec/external_sort.h"
 #include "exec/operators.h"
+#include "exec/worker_pool.h"
+#include "shard/coordinator.h"
+#include "shard/local_backend.h"
 
 namespace setm {
 
@@ -33,19 +36,71 @@ std::vector<size_t> SetmMiner::TidItemColumns(size_t k) {
   return cols;
 }
 
-Result<std::unique_ptr<Table>> SetmMiner::NewRelation(const std::string& name,
-                                                      Schema schema) {
-  if (setm_options_.storage == TableBacking::kMemory) {
-    return std::unique_ptr<Table>(
-        std::make_unique<MemTable>(name, std::move(schema)));
+namespace {
+
+/// The num_threads > 1 loop: SALES is cut at transaction boundaries into
+/// row-balanced trans_id slices, each slice becomes one in-process
+/// LocalShardBackend, and the distributed coordinator drives the two-phase
+/// count over them on a worker pool. Support counts are plain sums over
+/// disjoint transactions, so the result is identical to the serial loop.
+Result<MiningResult> MinePartitioned(Database* db, const SetmOptions& so,
+                                     std::vector<shard::ShardRow> rows,
+                                     const MiningOptions& options) {
+  WallTimer total_timer;
+  const IoStats io_before = *db->io_stats();
+
+  std::sort(rows.begin(), rows.end(),
+            [](const shard::ShardRow& a, const shard::ShardRow& b) {
+              return a.tid != b.tid ? a.tid < b.tid : a.item < b.item;
+            });
+  uint64_t num_transactions = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i == 0 || rows[i].tid != rows[i - 1].tid) ++num_transactions;
   }
-  // Intermediate relations are dropped at the end of the run; tagging their
-  // pages unlogged keeps them out of the write-ahead log.
-  auto t = HeapTable::Create(name, std::move(schema), db_->pool(),
-                             db_->UnloggedPageTagger());
-  if (!t.ok()) return t.status();
-  return std::unique_ptr<Table>(std::move(t).value());
+  const size_t num_slices = static_cast<size_t>(std::min<uint64_t>(
+      so.num_threads, std::max<uint64_t>(1, num_transactions)));
+  std::vector<std::vector<shard::ShardRow>> slices(num_slices);
+  const size_t target = (rows.size() + num_slices - 1) / num_slices;
+  size_t si = 0;
+  for (size_t i = 0; i < rows.size();) {
+    size_t j = i;
+    while (j < rows.size() && rows[j].tid == rows[i].tid) ++j;
+    if (slices[si].size() >= target && si + 1 < num_slices) ++si;
+    slices[si].insert(slices[si].end(), rows.begin() + i, rows.begin() + j);
+    i = j;
+  }
+  rows.clear();
+  rows.shrink_to_fit();
+
+  std::vector<std::unique_ptr<shard::LocalShardBackend>> backends;
+  std::vector<shard::ShardBackend*> shards;
+  for (size_t i = 0; i < num_slices; ++i) {
+    const std::string name = "s" + std::to_string(i);
+    backends.push_back(
+        std::make_unique<shard::LocalShardBackend>(db, name, name + "_"));
+    backends.back()->SetRows(std::move(slices[i]));
+    shards.push_back(backends.back().get());
+  }
+
+  shard::CoordinatorOptions coord;
+  coord.run.storage = so.storage;
+  coord.run.count_method = so.count_method;
+  coord.pool = db->worker_pool();
+  std::unique_ptr<WorkerPool> owned_pool;
+  if (coord.pool == nullptr) {
+    // No point spawning more workers than slices to occupy them.
+    owned_pool = std::make_unique<WorkerPool>(num_slices);
+    coord.pool = owned_pool.get();
+  }
+
+  auto result = shard::DistributedMine(shards, options, coord);
+  if (!result.ok()) return result.status();
+  result.value().total_seconds = total_timer.ElapsedSeconds();
+  result.value().io = Diff(*db->io_stats(), io_before);
+  return result;
 }
+
+}  // namespace
 
 Result<Table*> LoadSalesTable(Database* db, const std::string& name,
                               const TransactionDb& transactions,
@@ -66,13 +121,18 @@ Result<Table*> LoadSalesTable(Database* db, const std::string& name,
 
 Result<MiningResult> SetmMiner::Mine(const TransactionDb& transactions,
                                      const MiningOptions& options) {
-  if (setm_options_.num_threads > 1) {
-    // Route before materializing SALES: the partitioned executor builds its
-    // row slices straight from the transaction database.
-    return ParallelSetmMiner(db_, setm_options_).Mine(transactions, options);
-  }
   SETM_RETURN_IF_ERROR(ValidateTransactions(transactions));
-  auto sales_or = NewRelation("sales", SalesSchema());
+  if (setm_options_.num_threads > 1) {
+    // Route before materializing SALES: the slices are cut straight from
+    // the transaction database.
+    std::vector<shard::ShardRow> rows;
+    for (const Transaction& t : transactions) {
+      for (ItemId item : t.items) rows.push_back(shard::ShardRow{t.id, item});
+    }
+    return MinePartitioned(db_, setm_options_, std::move(rows), options);
+  }
+  auto sales_or = NewScratchRelation(db_, setm_options_.storage, "sales",
+                                     SalesSchema());
   if (!sales_or.ok()) return sales_or.status();
   std::unique_ptr<Table> sales = std::move(sales_or).value();
   for (const Transaction& t : transactions) {
@@ -90,7 +150,9 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
     return Status::InvalidArgument("SALES must have schema (trans_id, item)");
   }
   if (setm_options_.num_threads > 1) {
-    return ParallelSetmMiner(db_, setm_options_).MineTable(sales, options);
+    std::vector<shard::ShardRow> rows;
+    SETM_RETURN_IF_ERROR(shard::ExtractRows(sales, &rows));
+    return MinePartitioned(db_, setm_options_, std::move(rows), options);
   }
   WallTimer total_timer;
   const IoStats io_before = *db_->io_stats();
@@ -98,7 +160,8 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
   MiningResult result;
 
   // --- R_1 := SALES sorted on (trans_id, item); count transactions. ------
-  auto r1_or = NewRelation("r1", RkSchema(1));
+  auto r1_or =
+      NewScratchRelation(db_, setm_options_.storage, "r1", RkSchema(1));
   if (!r1_or.ok()) return r1_or.status();
   std::unique_ptr<Table> r1 = std::move(r1_or).value();
   uint64_t num_transactions = 0;
@@ -148,7 +211,8 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
 
   // Optional ablation: restrict R_1 to frequent items before the loop.
   if (options.filter_r1) {
-    auto filtered_or = NewRelation("r1f", RkSchema(1));
+    auto filtered_or =
+        NewScratchRelation(db_, setm_options_.storage, "r1f", RkSchema(1));
     if (!filtered_or.ok()) return filtered_or.status();
     std::unique_ptr<Table> filtered = std::move(filtered_or).value();
     SETM_RETURN_IF_ERROR(FilterR1Into(
@@ -171,7 +235,8 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
     // Both inputs are maintained sorted on (trans_id, items...), so no sort
     // is needed here — the "sort order tracked across iterations" remark of
     // Section 4.1.
-    auto rk_prime_or = NewRelation("r" + std::to_string(k) + "p", RkSchema(k));
+    auto rk_prime_or = NewScratchRelation(
+        db_, setm_options_.storage, "r" + std::to_string(k) + "p", RkSchema(k));
     if (!rk_prime_or.ok()) return rk_prime_or.status();
     std::unique_ptr<Table> rk_prime = std::move(rk_prime_or).value();
     SETM_RETURN_IF_ERROR(
@@ -188,7 +253,8 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
         }));
 
     // R_k := filter R'_k by C_k membership, sorted on (trans_id, items).
-    auto rk_or = NewRelation("r" + std::to_string(k), RkSchema(k));
+    auto rk_or = NewScratchRelation(db_, setm_options_.storage,
+                                    "r" + std::to_string(k), RkSchema(k));
     if (!rk_or.ok()) return rk_or.status();
     std::unique_ptr<Table> rk = std::move(rk_or).value();
     if (!ck_keys.empty()) {

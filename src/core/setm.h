@@ -26,6 +26,14 @@ namespace setm {
 ///      look-ups on relation C_k"), sorted back on (trans_id, items).
 /// The loop ends when R_k (equivalently C_k) is empty.
 ///
+/// With SetmOptions::num_threads > 1 the same loop runs partitioned: SALES
+/// is cut at transaction boundaries into row-balanced trans_id slices, each
+/// slice becomes an in-process shard (shard/local_backend.h), and
+/// shard::DistributedMine (shard/coordinator.h) drives the two-phase count
+/// over them on a worker pool. Itemsets and per-iteration cardinalities are
+/// identical to the serial loop; errors follow the coordinator's contract
+/// (the message names the slice "s<i>", an IOError reads as Unavailable).
+///
 ///     Database db;
 ///     SetmMiner miner(&db);
 ///     MiningResult result = miner.Mine(transactions, options).value();
@@ -51,13 +59,10 @@ class SetmMiner {
   static Schema RkSchema(size_t k);
 
   /// Sort-key columns (trans_id, item_1 .. item_k) of an R_k row — the
-  /// order every R_k is maintained in. Shared with the parallel executor.
+  /// order every R_k is maintained in, by the serial loop and every shard.
   static std::vector<size_t> TidItemColumns(size_t k);
 
  private:
-  Result<std::unique_ptr<Table>> NewRelation(const std::string& name,
-                                             Schema schema);
-
   Database* db_;
   SetmOptions setm_options_;
 };

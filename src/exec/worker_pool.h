@@ -16,8 +16,8 @@
 namespace setm {
 
 /// A fixed set of worker threads draining a FIFO task queue — the shared
-/// execution resource behind the parallel partitioned miner and parallel
-/// sort-run generation. Tasks are plain closures; completion tracking and
+/// execution resource behind threaded SETM mines (the shard coordinator's
+/// fan-out and merge) and parallel sort-run generation. Tasks are plain closures; completion tracking and
 /// error collection live in TaskGroup so independent clients can share one
 /// pool without observing each other's tasks.
 ///

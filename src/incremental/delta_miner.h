@@ -11,8 +11,8 @@ namespace setm {
 /// Knobs of the incremental maintenance path.
 struct DeltaOptions {
   /// Physical options for the delta mine and the full-remine fallback
-  /// (storage backing, thread count, count method). num_threads > 1 runs
-  /// the delta partition through the parallel partitioned executor.
+  /// (storage backing, thread count, count method). num_threads > 1 mines
+  /// the delta partition as trans_id slices under the shard coordinator.
   SetmOptions setm;
   /// When the appended batch exceeds this fraction of the *combined*
   /// transaction count, incremental maintenance stops paying off (the
@@ -45,8 +45,8 @@ struct DeltaMineResult {
 /// combined database, such an itemset can only be globally frequent when
 /// its delta count is >= s - s_old + 1. So the update
 ///
-///   1. mines *only* the delta partition (reusing SetmMiner, and through it
-///      the parallel partitioned executor) at that reduced threshold;
+///   1. mines *only* the delta partition (reusing SetmMiner, threaded when
+///      num_threads > 1) at that reduced threshold;
 ///   2. combines stored supports with exact delta counts for every stored
 ///      itemset — decidable without touching old data;
 ///   3. re-counts only the "borderline" itemsets (delta-frequent, not

@@ -112,11 +112,11 @@ struct ServerStats {
 ///
 /// Threading: the loop thread owns all sessions and the listener; jobs run
 /// on the job pool with the database serialized under an internal mutex
-/// (intra-job parallelism comes from the planner's partitioned executors);
-/// completions return to the loop through a CompletionPipe. A client
-/// disconnect, request timeout or shutdown cancels its job cooperatively —
-/// the per-job observer vetoes the next iteration, which is the same
-/// "stops within one iteration" contract the CLI's Ctrl-C uses.
+/// (intra-job parallelism comes from threaded SETM mines under the shard
+/// coordinator); completions return to the loop through a CompletionPipe.
+/// A client disconnect, request timeout or shutdown cancels its job
+/// cooperatively — the per-job observer vetoes the next iteration, which is
+/// the same "stops within one iteration" contract the CLI's Ctrl-C uses.
 class MiningServer {
  public:
   static Result<std::unique_ptr<MiningServer>> Create(Database* db,

@@ -1,9 +1,11 @@
 #include "shard/coordinator.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/timer.h"
 #include "exec/worker_pool.h"
@@ -52,23 +54,50 @@ Status WrapShardError(const std::string& shard, const char* phase,
                 "shard '" + shard + "' " + phase + ": " + s.message());
 }
 
-/// Per-shard state owned by exactly one fan-out task per phase; the
-/// coordinator reads it only after the phase barrier (TaskGroup::Wait).
+/// FNV-1a over an itemset's items: keys the merge maps directly, so the
+/// merge never re-serializes ItemsetKey strings.
+struct ItemsHash {
+  size_t operator()(const std::vector<ItemId>& items) const {
+    uint64_t h = 14695981039346656037ull;
+    for (ItemId item : items) {
+      h = (h ^ static_cast<uint32_t>(item)) * 1099511628211ull;
+    }
+    return static_cast<size_t>(h);
+  }
+};
+
+/// Merge bucket of an itemset. Every shard buckets its partial counts by
+/// this hash, so the merge splits into disjoint per-bucket tasks (bucket b
+/// only ever sees itemsets hashing to b) that run on the pool instead of
+/// serially on the calling thread. It takes the hash's high bits, which
+/// depend on every item, and leaves the low bits to the maps.
+size_t BucketOf(const std::vector<ItemId>& items, size_t num_buckets) {
+  return static_cast<size_t>((uint64_t{ItemsHash{}(items)} >> 32) %
+                             num_buckets);
+}
+
+/// Per-shard state owned by exactly one fan-out task per phase; afterwards
+/// (past the phase barrier, TaskGroup::Wait) merge task b owns buckets[b]
+/// of every shard, and the coordinator reads the rest.
 struct ShardState {
   ShardBackend* backend = nullptr;
   ShardLocalCounts counts;   ///< last CountIteration result
+  /// Its counts, moved out and split by BucketOf (one bucket per shard).
+  std::vector<std::vector<PatternCount>> buckets;
   uint64_t left_rows = 0;    ///< |R_k| rows still alive on this shard
   double last_seconds = 0.0; ///< coordinator-observed latency of the count
   obs::Histogram* latency = nullptr;
 };
 
-/// Phase 1 of iteration k: every shard counts locally, in parallel.
+/// Phase 1 of iteration k: every shard counts locally, in parallel, and
+/// buckets its counts for the merge.
 Status CountPhase(WorkerPool* pool, std::vector<ShardState>* states,
                   size_t k) {
+  const size_t num_buckets = states->size();
   TaskGroup group(pool);
   for (ShardState& s : *states) {
     ShardState* state = &s;
-    group.Submit([state, k] {
+    group.Submit([state, k, num_buckets] {
       WallTimer timer;
       auto counts_or = state->backend->CountIteration(k);
       state->last_seconds = timer.ElapsedSeconds();
@@ -79,6 +108,13 @@ Status CountPhase(WorkerPool* pool, std::vector<ShardState>* states,
       }
       state->counts = std::move(counts_or).value();
       if (k == 1) state->left_rows = state->counts.r_prime_rows;
+      state->buckets.assign(num_buckets, {});
+      for (PatternCount& pc : state->counts.counts) {
+        state->buckets[BucketOf(pc.items, num_buckets)].push_back(
+            std::move(pc));
+      }
+      state->counts.counts.clear();
+      state->counts.counts.shrink_to_fit();
       return Status::OK();
     });
   }
@@ -114,31 +150,58 @@ Status FilterPhase(WorkerPool* pool, std::vector<ShardState>* states,
   return Status::OK();
 }
 
-/// Sums every shard's partial counts and applies the global minsupport.
-/// Survivors land in `itemsets` and (in canonical sorted order, so remote
-/// broadcast payloads are deterministic) in `ck`.
-void MergeCounts(std::vector<ShardState>* states, int64_t minsup,
-                 uint64_t* c_size, FrequentItemsets* itemsets,
-                 std::vector<std::vector<ItemId>>* ck) {
-  std::unordered_map<std::string, PatternCount> merged;
+/// Sums bucket `bucket` of every shard's partial counts and keeps the
+/// patterns that reach the global minsupport.
+void MergeBucket(std::vector<ShardState>* states, size_t bucket,
+                 int64_t minsup, std::vector<PatternCount>* out) {
+  size_t largest = 0;
+  for (const ShardState& s : *states) {
+    largest = std::max(largest, s.buckets[bucket].size());
+  }
+  std::unordered_map<std::vector<ItemId>, int64_t, ItemsHash> merged;
+  merged.reserve(largest);
   for (ShardState& s : *states) {
-    for (PatternCount& pc : s.counts.counts) {
-      PatternCount& g = merged[ItemsetKey(pc.items)];
-      if (g.count == 0) g.items = std::move(pc.items);
-      g.count += pc.count;
+    for (PatternCount& pc : s.buckets[bucket]) {
+      merged[std::move(pc.items)] += pc.count;
     }
-    s.counts.counts.clear();
-    s.counts.counts.shrink_to_fit();
+    s.buckets[bucket].clear();
+    s.buckets[bucket].shrink_to_fit();
+  }
+  for (const auto& [items, count] : merged) {
+    if (count >= minsup) out->push_back(PatternCount{items, count});
+  }
+}
+
+/// Sums every shard's partial counts and applies the global minsupport, one
+/// pool task per merge bucket. Survivors land in `itemsets` and (in
+/// canonical sorted order, so remote broadcast payloads are deterministic)
+/// in `ck`.
+Status MergeCounts(WorkerPool* pool, std::vector<ShardState>* states,
+                   int64_t minsup, uint64_t* c_size,
+                   FrequentItemsets* itemsets,
+                   std::vector<std::vector<ItemId>>* ck) {
+  std::vector<std::vector<PatternCount>> survivors(states->size());
+  {
+    TaskGroup group(pool);
+    for (size_t b = 0; b < survivors.size(); ++b) {
+      std::vector<PatternCount>* out = &survivors[b];
+      group.Submit([states, b, minsup, out] {
+        MergeBucket(states, b, minsup, out);
+        return Status::OK();
+      });
+    }
+    SETM_RETURN_IF_ERROR(group.Wait());
   }
   ck->clear();
-  for (auto& entry : merged) {
-    if (entry.second.count >= minsup) {
-      ck->push_back(entry.second.items);
-      itemsets->Add(std::move(entry.second.items), entry.second.count);
+  for (std::vector<PatternCount>& bucket : survivors) {
+    for (PatternCount& pc : bucket) {
+      ck->push_back(pc.items);
+      itemsets->Add(std::move(pc.items), pc.count);
       ++*c_size;
     }
   }
   std::sort(ck->begin(), ck->end());
+  return Status::OK();
 }
 
 /// Attaches one completed iteration span with nested per-shard children.
@@ -229,7 +292,9 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     }
     stats.r_rows = stats.r_prime_rows;
     std::vector<std::vector<ItemId>> c1;
-    MergeCounts(&states, minsup, &stats.c_size, &result.itemsets, &c1);
+    s = MergeCounts(coord.pool, &states, minsup, &stats.c_size,
+                    &result.itemsets, &c1);
+    if (!s.ok()) return fail(s);
     stats.seconds = iter_timer.ElapsedSeconds();
     RecordIterationTrace(coord.trace, stats, states);
     result.iterations.push_back(stats);
@@ -263,7 +328,9 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
       stats.r_prime_rows += st.counts.r_prime_rows;
     }
     std::vector<std::vector<ItemId>> ck;
-    MergeCounts(&states, minsup, &stats.c_size, &result.itemsets, &ck);
+    s = MergeCounts(coord.pool, &states, minsup, &stats.c_size,
+                    &result.itemsets, &ck);
+    if (!s.ok()) return fail(s);
 
     // Phase 2 always runs, C_k empty or not: every shard materializes its
     // (possibly empty) R_k, exactly like the in-process executors, so the

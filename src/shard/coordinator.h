@@ -20,8 +20,8 @@ struct CoordinatorOptions {
   /// Physical knobs forwarded to every shard (filter_r1 is taken from the
   /// MiningOptions, like the in-process executors do).
   ShardRunOptions run;
-  /// Fan-out pool for the per-shard phases; null runs them serially on the
-  /// calling thread. The pool is only ever entered from the coordinator —
+  /// Fan-out pool for the per-shard phases and the bucketed merge; null
+  /// runs them serially on the calling thread. The pool is only ever entered from the coordinator —
   /// backends never re-enter it.
   WorkerPool* pool = nullptr;
   /// Optional parent span: the coordinator attaches one completed child per
@@ -31,12 +31,16 @@ struct CoordinatorOptions {
 };
 
 /// The two-phase distributed count over `shards` (Section 5's partitioned
-/// reading of Algorithm SETM, stretched across databases):
+/// reading of Algorithm SETM, stretched across databases). It is the only
+/// partitioned SETM loop: remote shards, file shards and SetmMiner with
+/// num_threads > 1 (in-process trans_id slices) all run through it.
 ///
 ///   phase 1  every shard locally counts iteration k with min_count = 1;
 ///   merge    the coordinator sums partial counts and applies the global
 ///            minsupport — resolved from the summed per-shard transaction
-///            counts, exact because transactions never span shards;
+///            counts, exact because transactions never span shards. Each
+///            shard's counts are bucketed by key hash (one bucket per
+///            shard), and one pool task per bucket sums and filters it;
 ///   phase 2  the surviving C_k is broadcast and every shard filters its
 ///            R'_k slice down to R_k.
 ///

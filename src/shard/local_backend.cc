@@ -12,7 +12,18 @@ namespace setm::shard {
 
 namespace {
 
-/// Extracts (trans_id, item) pairs from a SALES-shaped table.
+ExecContext LocalContext(Database* db) {
+  // Backends run on the coordinator's fan-out pool (or a server job thread):
+  // never re-enter a pool from inside, so sorts get a worker-free context.
+  ExecContext ctx;
+  ctx.temp_pool = db->temp_pool();
+  ctx.sort_memory_bytes = db->options().sort_memory_bytes;
+  ctx.workers = nullptr;
+  return ctx;
+}
+
+}  // namespace
+
 Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows) {
   if (sales.schema().NumColumns() != 2) {
     return Status::InvalidArgument("SALES must have schema (trans_id, item)");
@@ -29,18 +40,6 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows) {
   return Status::OK();
 }
 
-ExecContext LocalContext(Database* db) {
-  // Backends run on the coordinator's fan-out pool (or a server job thread):
-  // never re-enter a pool from inside, so sorts get a worker-free context.
-  ExecContext ctx;
-  ctx.temp_pool = db->temp_pool();
-  ctx.sort_memory_bytes = db->options().sort_memory_bytes;
-  ctx.workers = nullptr;
-  return ctx;
-}
-
-}  // namespace
-
 LocalShardBackend::LocalShardBackend(Database* db, std::string name,
                                      std::string scratch_prefix)
     : db_(db), name_(std::move(name)), prefix_(std::move(scratch_prefix)) {}
@@ -55,19 +54,6 @@ void LocalShardBackend::BindTable(std::string table_name) {
   bound_to_table_ = true;
   rows_.clear();
   rows_.shrink_to_fit();
-}
-
-Result<std::unique_ptr<Table>> LocalShardBackend::NewRelation(
-    const std::string& name, Schema schema) {
-  if (run_.storage == TableBacking::kMemory) {
-    return std::unique_ptr<Table>(
-        std::make_unique<MemTable>(name, std::move(schema)));
-  }
-  // Shard scratch relations never outlive the run: unlogged.
-  auto t = HeapTable::Create(name, std::move(schema), db_->pool(),
-                             db_->UnloggedPageTagger());
-  if (!t.ok()) return t.status();
-  return std::unique_ptr<Table>(std::move(t).value());
 }
 
 void LocalShardBackend::AddCount(const std::vector<ItemId>& items,
@@ -107,7 +93,8 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
   const ExecContext ctx = LocalContext(db_);
 
   if (k == 1) {
-    auto r1_or = NewRelation(prefix_ + "r1", SetmMiner::RkSchema(1));
+    auto r1_or = NewScratchRelation(db_, run_.storage, prefix_ + "r1",
+                                    SetmMiner::RkSchema(1));
     if (!r1_or.ok()) return r1_or.status();
     r1_ = std::move(r1_or).value();
     std::vector<ItemId> item(1);
@@ -140,8 +127,9 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
     if (left == nullptr) {
       return Status::Internal("CountIteration(k>=2) before CountIteration(1)");
     }
-    auto rkp_or = NewRelation(prefix_ + "r" + std::to_string(k) + "p",
-                              SetmMiner::RkSchema(k));
+    auto rkp_or = NewScratchRelation(db_, run_.storage,
+                                     prefix_ + "r" + std::to_string(k) + "p",
+                                     SetmMiner::RkSchema(k));
     if (!rkp_or.ok()) return rkp_or.status();
     rk_prime_ = std::move(rkp_or).value();
     CountSink sink;
@@ -188,7 +176,8 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
     if (r1_ == nullptr) {
       return Status::Internal("ApplyGlobalCk(1) before CountIteration(1)");
     }
-    auto filtered_or = NewRelation(prefix_ + "r1f", SetmMiner::RkSchema(1));
+    auto filtered_or = NewScratchRelation(db_, run_.storage, prefix_ + "r1f",
+                                          SetmMiner::RkSchema(1));
     if (!filtered_or.ok()) return filtered_or.status();
     std::unique_ptr<Table> filtered = std::move(filtered_or).value();
     SETM_RETURN_IF_ERROR(FilterR1Into(*r1_, probe, filtered.get()));
@@ -202,12 +191,13 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
   if (rk_prime_ == nullptr) {
     return Status::Internal("ApplyGlobalCk(k) before CountIteration(k)");
   }
-  auto rk_or = NewRelation(prefix_ + "r" + std::to_string(k),
-                           SetmMiner::RkSchema(k));
+  auto rk_or = NewScratchRelation(db_, run_.storage,
+                                  prefix_ + "r" + std::to_string(k),
+                                  SetmMiner::RkSchema(k));
   if (!rk_or.ok()) return rk_or.status();
   std::unique_ptr<Table> rk = std::move(rk_or).value();
-  // Matches the partitioned executor's FilterAndSort: an empty global C_k
-  // still creates (and reports) an empty R_k.
+  // Like the serial loop: an empty global C_k still creates (and reports)
+  // an empty R_k.
   if (!keys.empty()) {
     SETM_RETURN_IF_ERROR(
         FilterRkPrimeIntoRk(LocalContext(db_), *rk_prime_, k, probe,

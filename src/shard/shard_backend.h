@@ -22,8 +22,7 @@ struct ShardRunOptions {
 /// What one shard reports after locally counting iteration k: its full
 /// (minsupport-free) candidate counts plus the cardinalities the coordinator
 /// needs for IterationStats. Support is a property of the whole database, so
-/// local counts always use min_count = 1 — exactly the contract of the
-/// in-process partitioned executor.
+/// local counts always use min_count = 1.
 struct ShardLocalCounts {
   /// Transactions in this shard's SALES slice (filled for k == 1 only; the
   /// coordinator sums them to resolve the global minsupport).

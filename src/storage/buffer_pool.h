@@ -65,7 +65,7 @@ class PageGuard {
 ///
 /// Thread safety: all pool bookkeeping (page table, LRU, pin counts, frame
 /// metadata) is guarded by an internal mutex, so guards may be fetched and
-/// released from concurrent threads — the partitioned miners pin pages of
+/// released from concurrent threads — threaded mines pin pages of
 /// distinct table heaps from worker threads. The *contents* of a pinned
 /// page are not synchronized by the pool: callers that share one page
 /// across threads must coordinate their own reads/writes (the engine never

@@ -16,7 +16,7 @@ namespace setm {
 /// page counts and model-derived times next to wall-clock time.
 ///
 /// Counters are atomic so one ledger can be shared by backends driven from
-/// concurrent worker threads (the parallel partitioned miner) without losing
+/// concurrent worker threads (a threaded mine's slices) without losing
 /// increments; the struct itself still behaves as a copyable value (copies
 /// are relaxed snapshots, exact once the workers have been joined).
 struct IoStats {

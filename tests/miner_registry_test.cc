@@ -278,7 +278,7 @@ TEST(MiningObserverTest, CancellationStopsEveryMinerWithoutCatalogLeaks) {
   }
 }
 
-// Cancellation also reaches the partitioned executor's coordinator loop.
+// Cancellation also reaches the threaded (shard coordinator) loop.
 TEST(MiningObserverTest, ParallelExecutorHonorsCancellation) {
   TransactionDb txns = TestTransactions();
   Database db;

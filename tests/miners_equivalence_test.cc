@@ -1,5 +1,5 @@
 // Cross-miner integration tests, driven entirely through the MinerRegistry:
-// every registered algorithm (the seven built-ins, plus anything a future
+// every registered algorithm (the nine built-ins, plus anything a future
 // PR registers) must find exactly the same frequent itemsets as the
 // brute-force oracle, across table backings, thread counts, count methods
 // and both MiningRequest sources. No miner is constructed by hand here —

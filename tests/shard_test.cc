@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -90,17 +91,51 @@ Result<MiningResult> SingleNode(const TransactionDb& txns,
   return miner.value()->Mine(request);
 }
 
-/// Runs the coordinator over SetRows-sourced local backends, one per slice.
+/// Passes every call through to a LocalShardBackend and records whether
+/// each broadcast C_k arrived sorted — the coordinator's promise that keeps
+/// LCOUNT/MERGE payloads deterministic whatever order the merge ran in.
+class CkOrderProbe : public ShardBackend {
+ public:
+  CkOrderProbe(Database* db, const std::string& name)
+      : inner_(db, name, name + "_") {}
+
+  const std::string& name() const override { return inner_.name(); }
+  Status BeginRun(const ShardRunOptions& options) override {
+    return inner_.BeginRun(options);
+  }
+  Result<shard::ShardLocalCounts> CountIteration(size_t k) override {
+    return inner_.CountIteration(k);
+  }
+  Result<shard::ShardFilterStats> ApplyGlobalCk(
+      size_t k, const std::vector<std::vector<ItemId>>& ck) override {
+    ++broadcasts_;
+    unsorted_ += std::is_sorted(ck.begin(), ck.end()) ? 0 : 1;
+    return inner_.ApplyGlobalCk(k, ck);
+  }
+  Status EndRun() override { return inner_.EndRun(); }
+  Result<shard::ShardHealth> Health() override { return inner_.Health(); }
+
+  void SetRows(std::vector<ShardRow> rows) { inner_.SetRows(std::move(rows)); }
+  size_t broadcasts() const { return broadcasts_; }
+  size_t unsorted() const { return unsorted_; }
+
+ private:
+  LocalShardBackend inner_;
+  size_t broadcasts_ = 0;
+  size_t unsorted_ = 0;
+};
+
+/// Runs the coordinator over SetRows-sourced local backends, one per slice,
+/// and checks that every C_k broadcast to them was sorted.
 Result<MiningResult> MineSlices(Database* db,
                                 const std::vector<TransactionDb>& slices,
                                 const MiningOptions& options,
                                 const ShardRunOptions& run,
                                 WorkerPool* pool = nullptr) {
-  std::vector<std::unique_ptr<LocalShardBackend>> owned;
+  std::vector<std::unique_ptr<CkOrderProbe>> owned;
   std::vector<ShardBackend*> backends;
   for (size_t i = 0; i < slices.size(); ++i) {
-    auto backend = std::make_unique<LocalShardBackend>(
-        db, "s" + std::to_string(i), "s" + std::to_string(i) + "_");
+    auto backend = std::make_unique<CkOrderProbe>(db, "s" + std::to_string(i));
     backend->SetRows(RowsOf(slices[i]));
     backends.push_back(backend.get());
     owned.push_back(std::move(backend));
@@ -108,7 +143,13 @@ Result<MiningResult> MineSlices(Database* db,
   CoordinatorOptions coord;
   coord.run = run;
   coord.pool = pool;
-  return DistributedMine(backends, options, coord);
+  auto result = DistributedMine(backends, options, coord);
+  for (const auto& probe : owned) {
+    EXPECT_EQ(probe->unsorted(), 0u)
+        << probe->name() << ": " << probe->unsorted() << " of "
+        << probe->broadcasts() << " C_k broadcasts unsorted";
+  }
+  return result;
 }
 
 /// Everything but wall-clock and page counts must match: pages round up per
@@ -130,14 +171,20 @@ void ExpectSameIterations(const MiningResult& got, const MiningResult& want) {
 // Coordinator identity over in-process slices.
 // --------------------------------------------------------------------------
 
+/// Width of the coordinator's fan-out pool relative to the shard count.
+/// The merge runs one task per shard bucket, so every width but the last
+/// has more buckets than workers.
+enum class PoolWidth { kNone, kOneWorker, kFewerThanShards, kOnePerShard };
+
 class DistributedIdentityTest
     : public testing::TestWithParam<
-          std::tuple<uint64_t, size_t, TableBacking>> {};
+          std::tuple<uint64_t, size_t, TableBacking, PoolWidth>> {};
 
 TEST_P(DistributedIdentityTest, BitIdenticalToSingleNode) {
   const uint64_t seed = std::get<0>(GetParam());
   const size_t num_shards = std::get<1>(GetParam());
   const TableBacking backing = std::get<2>(GetParam());
+  const PoolWidth width = std::get<3>(GetParam());
 
   TransactionDb txns = QuestDb(seed);
   MiningOptions options;
@@ -149,11 +196,18 @@ TEST_P(DistributedIdentityTest, BitIdenticalToSingleNode) {
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   Database db;
-  WorkerPool pool(num_shards);
+  std::unique_ptr<WorkerPool> pool;
+  if (width == PoolWidth::kOneWorker) pool = std::make_unique<WorkerPool>(1);
+  if (width == PoolWidth::kFewerThanShards) {
+    pool = std::make_unique<WorkerPool>(num_shards - 1);
+  }
+  if (width == PoolWidth::kOnePerShard) {
+    pool = std::make_unique<WorkerPool>(num_shards);
+  }
   ShardRunOptions run;
   run.storage = backing;
   auto result = MineSlices(&db, SplitTxns(txns, num_shards), options, run,
-                           &pool);
+                           pool.get());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   EXPECT_TRUE(result.value().itemsets == expected.value().itemsets)
@@ -169,7 +223,10 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(uint64_t{7}, uint64_t{21}),
                      testing::Values(size_t{2}, size_t{3}, size_t{5}),
                      testing::Values(TableBacking::kMemory,
-                                     TableBacking::kHeap)));
+                                     TableBacking::kHeap),
+                     testing::Values(PoolWidth::kNone, PoolWidth::kOneWorker,
+                                     PoolWidth::kFewerThanShards,
+                                     PoolWidth::kOnePerShard)));
 
 TEST(DistributedMineTest, HashCountingAndFilterR1MatchSingleNode) {
   TransactionDb txns = QuestDb(33);

@@ -184,7 +184,7 @@ int RunSplit(const Args& args) {
   for (const Transaction& txn : txns) total_rows += txn.items.size();
 
   // Balanced by row count, cut only at transaction boundaries — the same
-  // invariant the in-process partitioned executors rely on: support is
+  // invariant threaded in-process mines rely on: support is
   // exact because a transaction's rows never straddle shards.
   const size_t num_shards = std::min(args.shards, txns.size());
   if (num_shards < args.shards) {
